@@ -66,6 +66,44 @@ def test_sum_curves_width_scaling(benchmark, k):
     assert total.value(0.0) == pytest.approx(0.4 * k)
 
 
+def burst_workloads(k: int, n_instances: int = 2000, spacing: float = 0.06,
+                    tau: float = 0.1) -> list:
+    """``k`` exact step workloads shaped like the bursty fixture.
+
+    Offsets sit on a coarse grid, so some curves jump at the same times.
+    """
+    offsets = np.random.default_rng(k).integers(0, 4, size=k) * (spacing / 4)
+    return [Curve.step_from_times(o + spacing * np.arange(n_instances), tau)
+            for o in offsets]
+
+
+def clustered_availability(n: int, gap: float = 5e-10) -> Curve:
+    """A rate-<=1 curve whose breakpoints come in pairs ``gap`` < EPS apart.
+
+    Such clusters are what the service transform's emission guard
+    de-duplicates.
+    """
+    base = np.arange(1, n + 1, dtype=float)
+    xs = np.concatenate(([0.0], np.column_stack((base, base + gap)).ravel()))
+    slopes = np.tile([0.8, 1.0], n)
+    ys = np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+    return Curve.from_breakpoints(xs, ys, 1.0, canonicalize=False)
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_sum_curves_step_inputs(benchmark, k):
+    curves = burst_workloads(k)
+    total = benchmark(sum_curves, curves)
+    assert total.value(200.0) == pytest.approx(0.1 * 2000 * k)
+
+
+def test_service_transform_clustered_B(benchmark):
+    B = clustered_availability(2000)
+    c = periodic_workload(2000, period=1.0, tau=0.4)
+    s = benchmark(service_transform, B, c, 0.0, 2010.0)
+    assert s.value(2010.0) == pytest.approx(0.4 * 2000)
+
+
 def test_priority_stack(benchmark):
     """A five-level priority stack: the exact Theorem-3 cascade."""
 
@@ -160,6 +198,20 @@ def run_kernel_benchmark(repeats: int = 5, budget: int = 64):
     kernels["sum_curves_16x2000"] = {
         "exact_s": _median_time(lambda: sum_curves(curves), repeats),
         "compacted_s": _median_time(lambda: sum_curves(compacted), repeats),
+    }
+
+    for k in (4, 16):
+        steps = burst_workloads(k)
+        kernels[f"sum_curves_steps_k{k}x2000"] = {
+            "exact_s": _median_time(lambda: sum_curves(steps), repeats),
+        }
+    B = clustered_availability(2000)
+    c = periodic_workload(2000, period=1.0, tau=0.4)
+    kernels["service_transform_clustered_B_n2000"] = {
+        "exact_s": _median_time(
+            lambda: service_transform(B, c, 0.0, 2010.0), repeats
+        ),
+        "breakpoints_in": int(B.n_breakpoints),
     }
 
     with curve_cache() as cache:

@@ -172,7 +172,8 @@ else:
         return tuple(v * k for v in _floats(a))
 
     def clip_min(a, lo: float) -> Storage:
-        return tuple(lo if v < lo else v for v in _floats(a))
+        # np.maximum(v, lo): ``lo`` on ties (so -0.0 clips to 0.0), NaN kept.
+        return tuple(v if v > lo or v != v else lo for v in _floats(a))
 
     def unique_sorted(a) -> Storage:
         return tuple(sorted(set(_floats(a))))

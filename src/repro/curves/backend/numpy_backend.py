@@ -8,14 +8,18 @@ backend mirrors this exact arithmetic (same formulas, same evaluation
 order), and the golden analysis results pin both.  When editing a kernel
 keep the operation order intact or regenerate the goldens deliberately.
 
-The one genuinely new piece relative to the historical scalar code is
-the vectorized branch-assembly in :meth:`NumpyBackend.service_transform`
-(``_running_min_branch_fast``): per-piece emissions of the running-min
-recursion are laid out positionally with ``cumsum``/``repeat`` instead
-of a per-piece Python loop.  Where the scalar loop's EPS de-duplication
-guard could make the two differ (consecutive emissions closer than
-``EPS``), the kernel falls back to the reference loop, keeping the fast
-path bit-identical by construction.
+Some kernels reach the same bits by a cheaper route than the scalar code:
+
+* :meth:`NumpyBackend.service_transform` lays the per-piece emissions of
+  the running-min recursion out positionally with ``cumsum``/``repeat``
+  (``_branch_emissions``) and applies the scalar loop's sequential EPS
+  guard only to the interior breakpoints within ``EPS`` of their
+  predecessor (``_drop_close_interior``);
+* :meth:`NumpyBackend.sum_curves` gathers the values of exactly flat step
+  inputs on the union grid and takes left limits as the right totals
+  shifted by one grid point (``_step_values_on``);
+* :meth:`NumpyBackend.identity_minus` evaluates the total on its own
+  breakpoints by index arithmetic (``_own_grid_values``).
 """
 
 from __future__ import annotations
@@ -78,6 +82,55 @@ def _eval_piecewise(
     if np.any(beyond):
         out[beyond] = ys[-1] + final_slope * (xq[beyond] - xs[-1])
     return out
+
+
+def _is_exact_step(c: Curve) -> bool:
+    """True when every segment of ``c`` is exactly flat (no tolerance).
+
+    Stricter than ``is_step(EPS)``: only on such curves does evaluation
+    return a stored ``y`` value untouched by interpolation arithmetic.
+    """
+    if c.final_slope != 0.0:
+        return False
+    x, y = c._x, c._y
+    return not bool(np.any((x[1:] > x[:-1]) & (y[1:] != y[:-1])))
+
+
+def _step_values_on(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right values of an exact step curve ``(x, y)`` on a grid holding ``x``.
+
+    Each distinct abscissa's last value holds until the curve's next
+    abscissa, so the values repeat it over the grid points in between.
+    """
+    last = np.empty(x.size, dtype=bool)
+    last[:-1] = x[:-1] != x[1:]
+    last[-1] = True
+    starts = np.searchsorted(grid, x[last])
+    return np.repeat(y[last], np.diff(starts, append=grid.size))
+
+
+def _own_grid_values(c: Curve) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(grid, left, right)``: ``c`` evaluated on its distinct abscissae.
+
+    Index arithmetic replaces the ``searchsorted`` of ``eval_left`` /
+    ``eval_right`` and keeps their arithmetic: the right value at a
+    breakpoint interpolates with ``frac == 0`` from the abscissa's last
+    point, the left limit with ``frac == 1`` up to its first point (and is
+    ``y[0]`` at zero).
+    """
+    x, y = c._x, c._y
+    first = np.empty(x.size, dtype=bool)
+    first[0] = True
+    first[1:] = x[1:] != x[:-1]
+    last = np.empty(x.size, dtype=bool)
+    last[:-1] = first[1:]
+    last[-1] = True
+    right = y[last] + 0.0
+    j = np.nonzero(first)[0][1:]
+    left = np.empty(right.size)
+    left[0] = y[0]
+    left[1:] = y[j - 1] + 1.0 * (y[j] - y[j - 1])
+    return x[first], left, right
 
 
 class NumpyBackend(CurveBackend):
@@ -250,29 +303,32 @@ class NumpyBackend(CurveBackend):
 
     @staticmethod
     def _eval_at(x, y, final_slope, ts, idx):
-        out = np.empty_like(ts)
-
         below = idx < 0
-        out[below] = y[0]
-
         last = idx >= x.size - 1
-        sel = last & ~below
-        out[sel] = y[-1] + final_slope * (ts[sel] - x[-1])
-
-        mid = ~below & ~last
-        if np.any(mid):
-            i = idx[mid]
+        # np.asarray keeps 0-d queries assignable below.
+        if x.size == 1:
+            out = np.asarray(y[-1] + final_slope * (ts - x[-1]))
+        else:
+            # Interpolate every query on its clipped segment in one pass,
+            # then overwrite the entries before the first and past the last
+            # breakpoint (their interpolated values are discarded).
+            i = np.clip(idx, 0, x.size - 2)
             x0 = x[i]
             x1 = x[i + 1]
             y0 = y[i]
             y1 = y[i + 1]
             dx = x1 - x0
-            # i is the last breakpoint with abscissa <= t, so x1 > x0 except
-            # for degenerate zero-width segments guarded here.
-            frac = np.where(
-                dx > 0.0, (ts[mid] - x0) / np.where(dx > 0.0, dx, 1.0), 1.0
-            )
-            out[mid] = y0 + frac * (y1 - y0)
+            # Inside the curve i is the last breakpoint with abscissa <= t,
+            # so x1 > x0 except for degenerate zero-width segments guarded
+            # here.
+            pos = dx > 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                frac = np.where(pos, (ts - x0) / np.where(pos, dx, 1.0), 1.0)
+                out = np.asarray(y0 + frac * (y1 - y0))
+            if last.any():
+                out[last] = y[-1] + final_slope * (ts[last] - x[-1])
+        if below.any():
+            out[below] = y[0]
         return out
 
     def first_crossing(self, x, y, final_slope, vs):
@@ -388,11 +444,23 @@ class NumpyBackend(CurveBackend):
 
     def sum_curves(self, curves):
         grid = _union_grid([c._x for c in curves])
-        left = np.zeros_like(grid)
         right = np.zeros_like(grid)
-        for c in curves:
-            left += np.atleast_1d(c.value_left(grid))
-            right += np.atleast_1d(c.value(grid))
+        if all(_is_exact_step(c) for c in curves):
+            # Every curve is constant between its own breakpoints, all of
+            # which lie on the grid: its right value is a gather, and its
+            # left limit at a grid point is its right value one grid point
+            # earlier -- so the left totals are the right totals shifted
+            # (same addends, same order, same bits as evaluating them).
+            left0 = 0.0
+            for c in curves:
+                right += _step_values_on(grid, c._x, c._y)
+                left0 += float(c._y[0])
+            left = np.concatenate(([left0], right[:-1]))
+        else:
+            left = np.zeros_like(grid)
+            for c in curves:
+                left += self.eval_left(c._x, c._y, c.final_slope, grid)
+                right += self.eval_right(c._x, c._y, c.final_slope, grid)
         xs, ys = _interleave(grid, left, right)
         fs = sum(c.final_slope for c in curves)
         return Curve._build(xs, ys, fs)
@@ -400,22 +468,21 @@ class NumpyBackend(CurveBackend):
     def min_curves(self, a, b):
         grid = _union_grid([a._x, b._x])
         # Insert crossing points inside segments where a - b changes sign.
-        seg_starts = grid
-        extra: List[float] = []
-        ar = np.atleast_1d(a.value(seg_starts))
-        br = np.atleast_1d(b.value(seg_starts))
-        for i in range(grid.size - 1):
-            x0, x1 = grid[i], grid[i + 1]
-            d0 = ar[i] - br[i]
-            d1 = float(a.value_left(x1)) - float(b.value_left(x1))
-            if (d0 > EPS and d1 < -EPS) or (d0 < -EPS and d1 > EPS):
-                # Linear difference on the open segment: interpolate the root.
-                t = x0 + (0.0 - d0) * (x1 - x0) / (d1 - d0)
-                if x0 + EPS < t < x1 - EPS:
-                    extra.append(t)
+        ar = self.eval_right(a._x, a._y, a.final_slope, grid)
+        br = self.eval_right(b._x, b._y, b.final_slope, grid)
+        x1 = grid[1:]
+        d0 = ar[:-1] - br[:-1]
+        d1 = self.eval_left(a._x, a._y, a.final_slope, x1) - self.eval_left(
+            b._x, b._y, b.final_slope, x1
+        )
+        seg = np.nonzero(((d0 > EPS) & (d1 < -EPS)) | ((d0 < -EPS) & (d1 > EPS)))[0]
+        x0, x1, d0, d1 = grid[seg], x1[seg], d0[seg], d1[seg]
+        # Linear difference on the open segment: interpolate the root.
+        t = x0 + (0.0 - d0) * (x1 - x0) / (d1 - d0)
+        extra: List[float] = t[(x0 + EPS < t) & (t < x1 - EPS)].tolist()
         # Tail crossing beyond the last breakpoint.
         x_last = grid[-1]
-        da = float(a.value(x_last)) - float(b.value(x_last))
+        da = float(ar[-1]) - float(br[-1])
         dslope = a.final_slope - b.final_slope
         if abs(dslope) > EPS:
             t = x_last - da / dslope
@@ -448,12 +515,19 @@ class NumpyBackend(CurveBackend):
             raise CurveError(
                 "exact availability transform received a total with slope > 1"
             )
-        grid = _union_grid([total._x, np.asarray([lateness])])
+        grid, t_left, t_right = _own_grid_values(total)
+        k = int(np.searchsorted(grid, lateness))
+        if lateness >= 0.0 and (k == grid.size or grid[k] != lateness):
+            at = np.array([float(lateness)])
+            x, y, tfs = total._x, total._y, total.final_slope
+            grid = np.insert(grid, k, at)
+            t_left = np.insert(t_left, k, self.eval_left(x, y, tfs, at))
+            t_right = np.insert(t_right, k, self.eval_right(x, y, tfs, at))
         # Interleave left/right values so downward jumps of h (= upward
         # jumps of `total`) are represented exactly before the monotone
         # closure.
-        h_left = grid - lateness - np.atleast_1d(total.value_left(grid))
-        h_right = grid - lateness - np.atleast_1d(total.value(grid))
+        h_left = grid - lateness - t_left
+        h_right = grid - lateness - t_right
         jump = h_left > h_right + EPS
         n = grid.size + int(np.count_nonzero(jump))
         xs = np.empty(n)
@@ -567,11 +641,16 @@ def _running_max_closure(
     return xs, m
 
 
-def _branch_state(B: Curve, c: Curve, t_end: float):
-    """Shared per-piece precomputation of the running-min recursion.
+def _branch_emissions(B: Curve, c: Curve, t_end: float):
+    """Emission sequence ``(us, rs, on_branch_at_end)`` of the recursion.
 
-    Returns ``(p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx,
-    hi_idx)`` -- see :func:`_running_min_branch` for the recursion.
+    Per piece ``[a, b_hi)`` of ``c`` the recursion emits, in order: the
+    crossover ``u*`` when it lies inside the piece, then -- while the
+    branch ``v - B(u)`` is active -- ``B``'s interior breakpoints along it
+    and the piece's endpoint.  All candidates are laid out positionally
+    via ``cumsum``-of-counts and ``repeat``.  An interior breakpoint is
+    dropped when it lies within ``EPS`` of the last point emitted before
+    it; the crossover and endpoints are always emitted.
     """
     if not c.is_step():
         raise CurveError("service transform requires a step workload curve")
@@ -598,63 +677,10 @@ def _branch_state(B: Curve, c: Curve, t_end: float):
     u_star_arr = np.atleast_1d(B.first_crossing(np.maximum(lvl, 0.0)))
     u_star_arr[lvl <= EPS] = 0.0
     # B values at B's own breakpoints (continuous => y at breakpoints).
-    bx = B._x
+    bx, by = B._x, B._y
     lo_idx = np.searchsorted(bx, np.maximum(u_star_arr, bounds[:-1]), side="right")
     hi_idx = np.searchsorted(bx, bounds[1:], side="left")
-    return p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx, hi_idx
 
-
-def _running_min_branch_reference(
-    B: Curve, c: Curve, t_end: float
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Scalar reference emission loop (kept for the EPS-guard fallback)."""
-    p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx, hi_idx = _branch_state(
-        B, c, t_end
-    )
-    bx, by = B._x, B._y
-    us: List[float] = [0.0]
-    rs: List[float] = [0.0]
-    on_branch_at_end = False
-    for i in range(p.size):
-        a, b_hi = bounds[i], bounds[i + 1]
-        vi = v[i]
-        m = m_arr[i]
-        if b_hi - a <= EPS:
-            continue
-        u_star = min(max(float(u_star_arr[i]), a), b_hi)
-        if u_star > a + EPS:
-            us.append(u_star)
-            rs.append(m)
-            on_branch_at_end = False
-        if u_star < b_hi - EPS:
-            # Follow the branch vi - B(u) on (u_star, b_hi]; include B's
-            # interior breakpoints so the branch is piecewise exact.
-            for k in range(lo_idx[i], hi_idx[i]):
-                xbp = bx[k]
-                if xbp > us[-1] + EPS:
-                    us.append(float(xbp))
-                    rs.append(vi - float(by[k]))
-            us.append(b_hi)
-            rs.append(vi - float(b_at_bounds[i + 1]))
-            on_branch_at_end = True
-    return np.asarray(us), np.asarray(rs), on_branch_at_end
-
-
-def _running_min_branch_fast(B: Curve, c: Curve, t_end: float):
-    """Vectorized emission assembly; ``None`` when the fallback must run.
-
-    Emits *every* candidate point (crossover ``u*``, interior breakpoints
-    of ``B`` along the active branch, piece endpoints) positionally via
-    ``cumsum``-of-counts and ``repeat``.  The scalar loop additionally
-    skips interior breakpoints within ``EPS`` of the previously emitted
-    point; when any consecutive emission gap is that small the two
-    assemblies could diverge, so the caller re-runs the reference loop --
-    everywhere else the sequences are identical by construction.
-    """
-    p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx, hi_idx = _branch_state(
-        B, c, t_end
-    )
-    bx, by = B._x, B._y
     a = bounds[:-1]
     b_hi = bounds[1:]
     active = b_hi - a > EPS
@@ -675,6 +701,7 @@ def _running_min_branch_fast(B: Curve, c: Curve, t_end: float):
     rs[pos_star] = m_arr[emit_star]
     branch_base = starts + emit_star.astype(np.intp)
     interior = emit_branch & (span > 0)
+    tgt = None
     if np.any(interior):
         piece_idx = np.nonzero(interior)[0]
         reps = span[piece_idx]
@@ -689,12 +716,43 @@ def _running_min_branch_fast(B: Curve, c: Curve, t_end: float):
     us[pos_end] = b_hi[emit_branch]
     rs[pos_end] = (v - b_at_bounds[1:])[emit_branch]
 
-    if total > 1 and bool(np.any(np.diff(us) <= EPS)):
-        return None  # the scalar loop's EPS guard could change the output
+    if tgt is not None:
+        us, rs = _drop_close_interior(us, rs, tgt)
 
     flagged = np.nonzero(emit_star | emit_branch)[0]
     on_branch_at_end = bool(emit_branch[flagged[-1]]) if flagged.size else False
     return us, rs, on_branch_at_end
+
+
+def _drop_close_interior(
+    us: np.ndarray, rs: np.ndarray, tgt: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply the emission guard to the interior positions ``tgt`` of ``us``.
+
+    The rule is sequential: an interior breakpoint is emitted only when it
+    lies more than ``EPS`` past the last *emitted* point.  The point just
+    before an interior run (its anchor: the crossover or the previous
+    piece's last emission) is always emitted, and candidates increase, so
+    a candidate more than ``EPS`` past its predecessor candidate is kept
+    outright.  Only the rare points within ``EPS`` of their predecessor
+    need the sequential rule; each maximal run of them starts right after
+    an emitted point.
+    """
+    close = us[tgt] <= us[tgt - 1] + EPS
+    if not np.any(close):
+        return us, rs
+    keep = np.ones(us.size, dtype=bool)
+    prev = -2
+    last_emitted = 0.0
+    for pos in tgt[close].tolist():
+        if pos - 1 != prev:  # the predecessor was emitted
+            last_emitted = float(us[pos - 1])
+        if us[pos] > last_emitted + EPS:
+            last_emitted = float(us[pos])
+        else:
+            keep[pos] = False
+        prev = pos
+    return us[keep], rs[keep]
 
 
 def _running_min_branch(
@@ -709,13 +767,7 @@ def _running_min_branch(
     and at the crossover points where a branch first dips below the running
     minimum.
     """
-    fast = _running_min_branch_fast(B, c, t_end)
-    if fast is None:
-        u_arr, r_arr, on_branch_at_end = _running_min_branch_reference(
-            B, c, t_end
-        )
-    else:
-        u_arr, r_arr, on_branch_at_end = fast
+    u_arr, r_arr, on_branch_at_end = _branch_emissions(B, c, t_end)
     # R is non-increasing by construction; clamp floating noise.
     np.minimum.accumulate(r_arr, out=r_arr)
     # Deduplicate abscissae (keep the last = smallest value).

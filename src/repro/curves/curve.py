@@ -472,16 +472,16 @@ class Curve:
         """
         if not self.is_step():
             raise CurveError("steps() requires a piecewise-constant curve")
-        jumps = _arrays.tolist(self.jump_times())
-        if jumps and jumps[0] <= EPS:
-            boundaries = jumps
+        jumps = self.jump_times()
+        # Jump abscissae are non-negative: only the leading 0 can be missing.
+        if _arrays.size(jumps) and float(jumps[0]) <= EPS:
+            lead = []
         else:
-            boundaries = [0.0] + jumps if jumps else [0.0]
-        if not boundaries or boundaries[0] > EPS:
-            boundaries = [0.0] + boundaries
-        boundaries = sorted(set(b if b > 0.0 else 0.0 for b in boundaries))
-        values = self.value(boundaries)
-        return _arrays.asarray(boundaries), _arrays.asarray(values)
+            lead = [0.0]
+        boundaries = _arrays.unique_sorted(
+            _arrays.clip_min(_arrays.concat([lead, jumps]), 0.0)
+        )
+        return boundaries, self.value(boundaries)
 
     def total_at(self, horizon: float) -> float:
         """Convenience alias for ``value(horizon)``."""

@@ -237,6 +237,13 @@ def test_eval_kernels_bit_identical(c, ts):
         pv, pl = np.asarray(c.value(q)), np.asarray(c.value_left(q))
     assert nv.tobytes() == pv.tobytes()
     assert nl.tobytes() == pl.tobytes()
+    # 0-d queries straight into the numpy kernels give the same bits.
+    numpy_backend = get_backend("numpy")
+    bp = c.breakpoints()
+    x, y, fs = np.asarray(bp.x), np.asarray(bp.y), c.final_slope
+    for t, v, l in zip(q, nv, nl):
+        assert numpy_backend.eval_right(x, y, fs, t).tobytes() == v.tobytes()
+        assert numpy_backend.eval_left(x, y, fs, t).tobytes() == l.tobytes()
 
 
 @needs_numpy
@@ -358,3 +365,141 @@ def test_cache_entries_do_not_cross_backends():
             fourth = service_transform(B, c, 0.5, 30.0)
             assert fourth is first  # numpy entry still present
     assert_identical(first, second)
+
+
+# -- numpy/python bit-identity: the exact-step and EPS-guard fast paths ----
+
+#: Offsets that put points on, within ``EPS`` of, or just beyond ``EPS``
+#: from a neighbour.
+NUDGES = [0.0, 0.0, 2e-10, -3e-10, 6e-10, 1e-9, 1.5e-9, 0.5]
+
+
+@st.composite
+def near_step_curves(draw, pool):
+    """A step curve over times drawn from ``pool``, possibly nudged.
+
+    Shared pools give coincident and sub-``EPS``-apart jumps across
+    curves.  ``kind`` picks the construction: the staircase factory, raw
+    breakpoints (keeps sub-``EPS`` jump heights), or raw breakpoints with
+    one sub-``EPS`` ramp -- a curve that passes ``is_step(EPS)`` but is
+    not exactly flat.
+    """
+    picks = draw(st.lists(st.sampled_from(pool), max_size=8))
+    nudges = draw(st.lists(st.sampled_from(NUDGES), min_size=len(picks),
+                           max_size=len(picks)))
+    times = sorted({max(0.0, t + d) for t, d in zip(picks, nudges)})
+    height = draw(st.sampled_from([1.0, 0.25, 2e-9, 5e-10])
+                  | st.floats(min_value=0.05, max_value=3.0))
+    kind = draw(st.sampled_from(["staircase", "raw", "near"]))
+    if kind == "staircase" or not times:
+        return Curve.step_from_times(times, height)
+    xs, ys = [0.0], [0.0]
+    for t in times:
+        xs += [t, t]
+        ys += [ys[-1], ys[-1] + height]
+    fs = 0.0
+    if kind == "near":
+        tweak = draw(st.sampled_from(["rise", "slant", "slope"]))
+        k = draw(st.integers(min_value=1, max_value=len(xs) - 1))
+        if tweak == "rise":  # a plateau rising by less than EPS
+            ys[k:] = [v + 5e-10 for v in ys[k:]]
+        elif tweak == "slant":  # a jump spread over less than EPS
+            xs[k:] = [v + 5e-10 for v in xs[k:]]
+        else:
+            fs = 5e-10
+    return Curve.from_breakpoints(xs, ys, fs, canonicalize=False)
+
+
+@st.composite
+def step_curve_families(draw):
+    pool = draw(st.lists(
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+        min_size=1, max_size=8,
+    ))
+    n = draw(st.integers(min_value=2, max_value=16))
+    return [draw(near_step_curves(pool)) for _ in range(n)]
+
+
+@needs_numpy
+@settings(max_examples=80, deadline=None)
+@given(step_curve_families())
+def test_sum_of_step_curves_bit_identical(curves):
+    with use_backend("numpy"):
+        a = sum_curves(curves)
+    with use_backend("python"):
+        b = sum_curves(curves)
+    assert_identical(a, b)
+
+
+@st.composite
+def clustered_service_inputs(draw):
+    """``(B, c)`` with ``B``'s breakpoints in clusters narrower than ``EPS``.
+
+    Each base breakpoint of the bounded-rate ``B`` is followed by up to
+    three more within (or just beyond) ``EPS``; ``c`` jumps on or near
+    them, so crossovers and piece boundaries land inside clusters too.
+    Canonicalization would merge the clusters, so ``B`` keeps its raw
+    breakpoints.
+    """
+    widths = draw(st.lists(st.floats(min_value=0.05, max_value=4.0),
+                           min_size=1, max_size=6))
+    xs = [0.0]
+    for w in widths:
+        base = xs[-1] + w
+        xs.append(base)
+        gaps = draw(st.lists(st.sampled_from([2e-10, 4e-10, 6e-10, 9e-10, 1.5e-9]),
+                             max_size=3))
+        for g in gaps:
+            xs.append(xs[-1] + g)
+    slopes = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                           min_size=len(xs) - 1, max_size=len(xs) - 1))
+    ys = [0.0]
+    for i, s in enumerate(slopes):
+        ys.append(ys[-1] + s * (xs[i + 1] - xs[i]))
+    fs = draw(st.floats(min_value=0.0, max_value=1.0))
+    B = Curve.from_breakpoints(xs, ys, fs, canonicalize=False)
+    picks = draw(st.lists(st.sampled_from(xs), min_size=1, max_size=8))
+    nudges = draw(st.lists(st.sampled_from(NUDGES), min_size=len(picks),
+                           max_size=len(picks)))
+    height = draw(st.floats(min_value=1e-3, max_value=3.0))
+    c = Curve.step_from_times(
+        [max(0.0, t + d) for t, d in zip(picks, nudges)], height
+    )
+    return B, c
+
+
+@needs_numpy
+@settings(max_examples=80, deadline=None)
+@given(clustered_service_inputs(), st.sampled_from([0.0, 0.0, 3e-10, 0.7]))
+def test_service_transform_with_clustered_B_bit_identical(inputs, lag):
+    B, c = inputs
+    t_end = float(B.breakpoints().x[-1]) + 5.0
+    with use_backend("numpy"):
+        a = service_transform(B, c, lag=lag, t_end=t_end)
+    with use_backend("python"):
+        b = service_transform(B, c, lag=lag, t_end=t_end)
+    assert_identical(a, b)
+
+
+@needs_numpy
+def test_service_transform_guard_follows_the_last_emitted_point():
+    """A chain of breakpoints of ``B``, each within EPS of the previous one.
+
+    Along the branch the sequential rule keeps ``1.0``, drops ``1 + 6e-10``
+    (within EPS of it), keeps ``1 + 1.2e-9`` (within EPS of the dropped
+    point but more than EPS past the kept one) and drops ``1 + 1.8e-9``.
+    """
+    from repro.curves.backend.numpy_backend import _branch_emissions
+
+    xs = [0.0, 1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 1.0 + 1.8e-9, 3.0]
+    ys = [0.5 * x for x in xs]
+    B = Curve.from_breakpoints(xs, ys, 0.5, canonicalize=False)
+    c = Curve.step_from_times([0.0], 0.2)
+    us, _, on_branch = _branch_emissions(B, c, 6.0)
+    assert us.tolist() == [0.0, 0.4, 1.0, 1.0 + 1.2e-9, 3.0, 6.0]
+    assert on_branch
+    with use_backend("numpy"):
+        a = service_transform(B, c, lag=0.0, t_end=6.0)
+    with use_backend("python"):
+        b = service_transform(B, c, lag=0.0, t_end=6.0)
+    assert_identical(a, b)
