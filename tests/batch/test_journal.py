@@ -1,10 +1,13 @@
 """Tests for the write-ahead batch journal (repro.batch.journal)."""
 
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.analysis import AnalysisOptions
 from repro.batch import (
     BatchEngine,
     BatchItem,
@@ -13,7 +16,7 @@ from repro.batch import (
     campaign_fingerprint,
     item_digest,
 )
-from repro.batch.journal import JOURNAL_KIND
+from repro.batch.journal import JOURNAL_KIND, _canonical, _frame
 from repro.model import (
     Job,
     JobSet,
@@ -21,6 +24,7 @@ from repro.model import (
     System,
     assign_priorities_proportional_deadline,
 )
+from repro.model.io import system_to_dict
 
 
 def small_system(period=5.0, wcet=1.0, deadline=10.0):
@@ -44,6 +48,41 @@ def _fingerprint(digests, **kw):
     return campaign_fingerprint(list(digests), **kw)
 
 
+def _older_digest(system, options):
+    """Item digest as older releases computed it for an item with options.
+
+    Their ``AnalysisOptions`` still had a ``backend`` field (``None``
+    unless set), so it was part of every digested options payload.
+    """
+    opts = dataclasses.asdict(options)
+    opts.pop("convergence")
+    opts.pop("cache_size")
+    opts["backend"] = None
+    payload = {
+        "system": system_to_dict(system),
+        "method": "SPP/Exact",
+        "horizon": None,
+        "options": opts,
+    }
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()[:32]
+
+
+def _as_older_header(path, digests=None):
+    """Rewrite a journal's header as older releases wrote it.
+
+    Their fingerprint also sealed the journal to the curve backend name
+    (``"numpy"``) and covered the item digests those releases computed.
+    """
+    lines = open(path).read().splitlines(keepends=True)
+    header = json.loads(lines[0])["h"]
+    header["backend"] = "numpy"
+    if digests is not None:
+        header["items_digest"] = _fingerprint(digests)["items_digest"]
+    lines[0] = _frame("h", header)
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
 class TestDigests:
     def test_item_digest_deterministic(self):
         a = item_digest(small_system())
@@ -59,13 +98,9 @@ class TestDigests:
         d1, d2 = item_digest(small_system()), item_digest(doomed_system())
         assert _fingerprint([d1, d2]) == _fingerprint([d2, d1])
 
-    def test_fingerprint_covers_audit_and_backend(self):
+    def test_fingerprint_covers_audit(self):
         d = [item_digest(small_system())]
         assert _fingerprint(d, audit=True) != _fingerprint(d, audit=False)
-        assert (
-            _fingerprint(d, backend="python")["backend"]
-            != _fingerprint(d, backend="numpy")["backend"]
-        )
 
     def test_fingerprint_shape(self):
         fp = _fingerprint([item_digest(small_system())])
@@ -159,6 +194,14 @@ class TestEngineJournal:
         d1 = [r.to_dict() for r in first]
         d2 = [r.to_dict() for r in again]
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+        # A journal whose header still names the curve backend (as older
+        # releases wrote it) resumes the same way: items without options
+        # have unchanged digests and the extra header key is ignored.
+        _as_older_header(wal)
+        older = BatchEngine(journal=wal, resume=True).run(items)
+        assert older.n_resumed == len(items)
+        d3 = [r.to_dict() for r in older]
+        assert json.dumps(d3, sort_keys=True) == json.dumps(d1, sort_keys=True)
 
     def test_partial_journal_only_reruns_missing(self, tmp_path):
         wal = str(tmp_path / "c.wal")
@@ -182,6 +225,20 @@ class TestEngineJournal:
         other = [BatchItem(doomed_system(), item_id="d0")]
         with pytest.raises(JournalError, match="refusing to resume"):
             BatchEngine(journal=wal, resume=True).run(other)
+        # Items carrying options were digested by older releases with the
+        # options' former ``backend`` field, so such a journal is refused.
+        opts = AnalysisOptions()
+        items = [
+            BatchItem(it.system, item_id=it.item_id, options=opts)
+            for it in self._items()
+        ]
+        older = [_older_digest(it.system, opts) for it in items]
+        assert older[0] != item_digest(items[0].system, options=opts)
+        wal = str(tmp_path / "older.wal")
+        BatchEngine(journal=wal).run(items)
+        _as_older_header(wal, older)
+        with pytest.raises(JournalError, match="items_digest"):
+            BatchEngine(journal=wal, resume=True).run(items)
 
     def test_journal_without_resume_refuses_existing_file(self, tmp_path):
         wal = str(tmp_path / "c.wal")

@@ -1,12 +1,14 @@
 """Tests for whole-result persistent caching through the batch engine."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro import __version__
 from repro.analysis import AnalysisOptions
-from repro.batch import BatchEngine, BatchItem
+from repro.batch import BatchEngine, BatchItem, item_digest
 from repro.cache import DiskCacheStore, ResultCache, result_key
 from repro.chaos import generate_campaign
 from repro.model.io import system_from_dict
@@ -26,22 +28,14 @@ def _lines(report):
 
 class TestResultKey:
     def test_every_context_axis_changes_the_key(self):
-        base = result_key("d1", audit=False, backend="numpy",
-                          code_version="1.0")
-        assert result_key("d2", audit=False, backend="numpy",
-                          code_version="1.0") != base
-        assert result_key("d1", audit=True, backend="numpy",
-                          code_version="1.0") != base
-        assert result_key("d1", audit=False, backend="python",
-                          code_version="1.0") != base
-        assert result_key("d1", audit=False, backend="numpy",
-                          code_version="1.1") != base
+        base = result_key("d1", audit=False, code_version="1.0")
+        assert result_key("d2", audit=False, code_version="1.0") != base
+        assert result_key("d1", audit=True, code_version="1.0") != base
+        assert result_key("d1", audit=False, code_version="1.1") != base
 
     def test_default_version_is_current_code(self):
-        from repro import __version__
-
-        assert result_key("d", audit=False, backend="numpy") == result_key(
-            "d", audit=False, backend="numpy", code_version=__version__
+        assert result_key("d", audit=False) == result_key(
+            "d", audit=False, code_version=__version__
         )
 
 
@@ -54,6 +48,22 @@ class TestWarmRun:
         assert warm.n_cached == len(warm) == 6
         assert _lines(warm) == _lines(cold)
         assert "cached=6" in warm.summary()
+        # Entries stored under the older key format, which also mixed in
+        # the curve backend name, are never served: every item misses and
+        # recomputes the same record.
+        old_dir = str(tmp_path / "old")
+        old = ResultCache(DiskCacheStore(old_dir))
+        for item, rec in zip(_items(), cold):
+            payload = f"{item_digest(item.system)}:0:numpy:{__version__}"
+            old_key = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+            assert old.put(old_key, rec.to_dict())
+        rerun = BatchEngine(cache_dir=old_dir).run(_items())
+        assert rerun.n_cached == 0
+
+        def untimed(report):
+            return [{**r.to_dict(), "wall_time": None} for r in report]
+
+        assert untimed(rerun) == untimed(cold)
 
     def test_only_the_edited_item_recomputes(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
