@@ -67,7 +67,7 @@ from ..analysis.admission import make_analyzer
 from ..analysis.base import AnalysisResult
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
-from ..cache import CurveSpill, DiskCacheStore, ResultCache, result_key
+from ..cache import DiskCacheStore, ResultCache, result_key
 from ..curves import memo
 from ..model.system import System
 from ..obs import metrics as _obs_metrics
@@ -138,10 +138,9 @@ class ItemResult:
     rounds: int = 0  #: adaptive-horizon rounds used (0 for horizon-free)
     cache_hits: int = 0  #: curve-cache hits attributable to this item
     cache_misses: int = 0
-    #: Curve-cache evictions / disk-spill hits attributable to this item
-    #: (report-level telemetry; not part of the JSONL record).
+    #: Curve-cache evictions attributable to this item (report-level
+    #: telemetry; not part of the JSONL record).
     cache_evictions: int = 0
-    cache_disk_hits: int = 0
     audited: bool = False  #: soundness audit ran for this item
     violations: List[Dict[str, Any]] = field(default_factory=list)  #: audit findings
     #: Span snapshot captured in the worker process (pool runs with the
@@ -348,11 +347,6 @@ class BatchReport:
         return sum(r.cache_evictions for r in self.results)
 
     @property
-    def cache_disk_hits(self) -> int:
-        """Curve-cache lookups served from the disk spill."""
-        return sum(r.cache_disk_hits for r in self.results)
-
-    @property
     def items_per_second(self) -> float:
         return len(self.results) / self.wall_time if self.wall_time > 0 else math.inf
 
@@ -368,8 +362,6 @@ class BatchReport:
         extras = []
         if self.cache_evictions:
             extras.append(f"evictions={self.cache_evictions}")
-        if self.cache_disk_hits:
-            extras.append(f"disk_hits={self.cache_disk_hits}")
         if self.n_resumed:
             extras.append(f"resumed={self.n_resumed}")
         if self.n_cached:
@@ -534,7 +526,6 @@ def _analyze_one(
             cache_hits=delta.hits if delta is not None else 0,
             cache_misses=delta.misses if delta is not None else 0,
             cache_evictions=delta.evictions if delta is not None else 0,
-            cache_disk_hits=delta.disk_hits if delta is not None else 0,
             audited=audited,
             violations=violations,
             timeout_enforced=timeout_enforced,
@@ -570,16 +561,11 @@ def _worker_chunk(payload) -> Dict[str, Any]:
         injector,
         attempt,
         options_override,
-        cache_dir,
     ) = payload
     queue_wait = (
         max(0.0, time.time() - submitted_at) if submitted_at is not None else None
     )
     cache = memo.enable_curve_cache(cache_size) if use_cache else None
-    if cache is not None and cache_dir is not None and cache.spill is None:
-        # First chunk in this worker: attach the disk spill once; it (and
-        # its store counters) then persists with the cache across chunks.
-        cache.spill = CurveSpill(DiskCacheStore(cache_dir))
     return {
         "queue_wait": queue_wait,
         "pid": os.getpid(),
@@ -644,12 +630,10 @@ class BatchEngine:
         default) falls back to ``options.cache_size`` when set, else to
         :data:`repro.curves.memo.DEFAULT_CACHE_SIZE`.
     cache_dir:
-        Root of a persistent cross-run cache (see :mod:`repro.cache`).
-        Enables both tiers: whole-item records are served from /
-        written to the ``results`` tier (a hit skips the analysis
-        entirely and re-emits the stored record verbatim), and every
-        per-process curve cache spills memoized kernels to the
-        ``curves`` tier.  ``None`` (the default) touches no disk and is
+        Root of a persistent cross-run cache of whole item records (see
+        :mod:`repro.cache`): a hit skips the analysis entirely and
+        re-emits the stored record verbatim, a miss writes the fresh
+        record.  ``None`` (the default) touches no disk and is
         byte-identical to the pre-cache engine.
     audit:
         Cross-validate every successfully analyzed item against the
@@ -726,7 +710,6 @@ class BatchEngine:
         if cache_size <= 0:
             raise ValueError("cache_size must be positive")
         self.cache_size = int(cache_size)
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self.audit = audit
         self.options = options
         self.retry = retry
@@ -739,25 +722,14 @@ class BatchEngine:
         #: Live :class:`~repro.obs.status.StatusWriter` while run() is
         #: active (the pool path feeds worker liveness through it).
         self._status: Optional[StatusWriter] = None
-        # Persistent-cache plumbing: one store per engine (workers build
-        # their own against the same directory).
-        self._store: Optional[DiskCacheStore] = (
-            DiskCacheStore(self.cache_dir) if self.cache_dir is not None else None
-        )
+        # Persistent result cache: read and written by the parent only.
         self._result_cache: Optional[ResultCache] = (
-            ResultCache(self._store) if self._store is not None else None
+            ResultCache(DiskCacheStore(cache_dir)) if cache_dir is not None else None
         )
         # Serial-mode cache persists across run() calls, mirroring the
         # per-worker persistent caches of the pool path.
         self._serial_cache: Optional[memo.CurveCache] = (
-            memo.CurveCache(
-                self.cache_size,
-                spill=CurveSpill(self._store)
-                if self._store is not None
-                else None,
-            )
-            if use_cache
-            else None
+            memo.CurveCache(self.cache_size) if use_cache else None
         )
 
     # ------------------------------------------------------------------
@@ -1148,7 +1120,6 @@ class BatchEngine:
             self.fault_injector,
             attempt,
             options_override,
-            self.cache_dir,
         )
 
     def _run_pool(

@@ -43,7 +43,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..batch.journal import BatchJournal, JournalError
+from ..batch.journal import BatchJournal
 from ..ioutil import write_json_atomic
 from ..obs.metrics import MetricsRegistry
 from ..obs.status import STATUS_KIND, STATUS_SCHEMA_VERSION, read_status

@@ -1,13 +1,12 @@
 """Content-addressed on-disk cache store: atomic, self-verifying.
 
-:class:`DiskCacheStore` is the shared persistence primitive behind the
-two cache tiers of :mod:`repro.cache`: whole-result memoization
-(:mod:`repro.cache.results`) and the curve-kernel disk spill
-(:mod:`repro.cache.spill`).  One entry is one file::
+:class:`DiskCacheStore` is the persistence primitive behind the one
+cache tier of :mod:`repro.cache`, whole-result memoization
+(:mod:`repro.cache.results`).  One entry is one file::
 
     <root>/<kind>/<digest[:2]>/<digest>.json
 
-where ``kind`` namespaces the tier (``"results"`` / ``"curves"``) and
+where ``kind`` namespaces the tier (``"results"``) and
 ``digest`` is the caller's content digest -- the *key already names the
 content*, so a cache can only ever return what was stored under exactly
 the same inputs.  The two-character fan-out directory keeps any single
@@ -23,9 +22,10 @@ Safety properties, in order of importance:
   and reported as a miss, so the caller silently recomputes.
 * **Concurrent writers are safe.**  Writes go through
   :func:`repro.ioutil.write_text_atomic` (tmp file in the destination
-  directory + ``os.replace``), so two workers racing on the same digest
-  each publish a complete file and the last rename wins; readers see one
-  complete entry or none, never a partial write.  Both racers computed
+  directory + ``os.replace``), so two processes racing on the same digest
+  (say, shards sharing one cache root) each publish a complete file and
+  the last rename wins; readers see one complete entry or none, never a
+  partial write.  Both racers computed
   the same pure function of the same digest, so last-writer-wins is
   semantically a no-op.
 * **Writes never fail a campaign.**  A full disk, a permission error or
@@ -63,10 +63,11 @@ def _canonical(payload: Any) -> str:
 class DiskCacheStore:
     """File-per-digest store under one cache root; see the module docs.
 
-    Instances are cheap (no open handles, no locks); the batch engine
-    creates one per process that touches the cache directory.  Counters
-    (``hits`` / ``misses`` / ``writes`` / ``corrupt``) accumulate per
-    instance and are mirrored into the active metrics registry as
+    Instances are cheap (no open handles, no locks); each
+    :class:`~repro.batch.engine.BatchEngine` holds one, in the parent
+    process.  Counters (``hits`` / ``misses`` / ``writes`` / ``corrupt``)
+    accumulate per instance and are mirrored into the active metrics
+    registry as
     ``repro_cache_{hits,misses,writes,corrupt}_total{tier=<kind>}``.
     """
 

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.audit import CorruptedAnalyzer, Violation, cross_validate, make_audit_analyzer
 from repro.batch import BatchEngine, BatchItem
 from repro.model import (

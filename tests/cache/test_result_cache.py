@@ -4,8 +4,6 @@ import hashlib
 import json
 import os
 
-import pytest
-
 from repro import __version__
 from repro.analysis import AnalysisOptions
 from repro.batch import BatchEngine, BatchItem, item_digest
@@ -43,6 +41,11 @@ class TestWarmRun:
     def test_warm_rerun_is_fully_cached_and_byte_identical(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         cold = BatchEngine(cache_dir=cache_dir).run(_items())
+        # One tier: the cold run stores whole item records and nothing else.
+        assert os.listdir(cache_dir) == ["results"]
+        for record in cold:
+            block = record.to_dict()["result"]["cache"]
+            assert "disk_hits" not in block and "disk_misses" not in block
         warm = BatchEngine(cache_dir=cache_dir).run(_items())
         assert cold.n_cached == 0
         assert warm.n_cached == len(warm) == 6
